@@ -27,34 +27,24 @@ var benchEnv = experiment.NewEnv()
 
 // benchGenerate measures the generation hot path in isolation — a direct
 // core.Generate call (parse + MCTS + final mapping), no experiment-harness
-// bookkeeping — with sub-benchmarks for the cross-worker shared caches on
-// and off so the sharing win is measurable by itself.
+// bookkeeping.
 func benchGenerate(b *testing.B, log workload.Log) {
 	db := dataset.NewDB()
 	cat := catalog.Build(db, dataset.Keys())
-	for _, shared := range []bool{true, false} {
-		name := "shared"
-		if !shared {
-			name = "private"
+	cfg := core.DefaultConfig()
+	b.ReportAllocs()
+	var lastCost float64
+	var ints int
+	for i := 0; i < b.N; i++ {
+		res, err := core.Generate(log.Queries, db, cat, cfg)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			cfg := core.DefaultConfig()
-			cfg.Search.SharedCaches = shared
-			b.ReportAllocs()
-			var lastCost float64
-			var ints int
-			for i := 0; i < b.N; i++ {
-				res, err := core.Generate(log.Queries, db, cat, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				lastCost = res.Interface.Cost
-				ints = res.Interface.InteractionCount()
-			}
-			b.ReportMetric(lastCost, "cost")
-			b.ReportMetric(float64(ints), "interactions")
-		})
+		lastCost = res.Interface.Cost
+		ints = res.Interface.InteractionCount()
 	}
+	b.ReportMetric(lastCost, "cost")
+	b.ReportMetric(float64(ints), "interactions")
 }
 
 func BenchmarkGenerateExplore(b *testing.B) { benchGenerate(b, workload.Explore()) }

@@ -12,12 +12,10 @@
 //	pi2bench -fig t1 / t2      # visualization / widget catalogs (Tables 1, 2)
 //	pi2bench -fig ablations    # design-choice ablations
 //	pi2bench -fig all          # everything except the full sweep
+//	pi2bench -overhead-check   # serving-metrics overhead gate (CI)
 //
-// Performance trajectory (machine-readable, see BENCH_*.json in the repo
-// root):
-//
-//	pi2bench -json BENCH_PR3.json                       # run + write report
-//	pi2bench -json - -baseline BENCH_PR3.json           # compare to stdout
+// Performance is measured by the benchmark in perfbench/ (see
+// BENCHMARK.json): bash perfbench/run.sh --workload sky-read.
 package main
 
 import (
@@ -34,22 +32,12 @@ import (
 func main() {
 	fig := flag.String("fig", "latency", "figure/table to regenerate")
 	full := flag.Bool("full", false, "use the paper's full sweep resolution (slow)")
-	jsonPath := flag.String("json", "", "run the generation + serving benches and write a JSON report to this path ('-' for stdout)")
-	baseline := flag.String("baseline", "", "previous JSON report to embed as the baseline (use with -json)")
 	overheadCheck := flag.Bool("overhead-check", false, "measure serving-metrics overhead (instrumented vs disabled) and fail if it exceeds -overhead-max")
 	overheadMax := flag.Float64("overhead-max", 1.05, "maximum allowed instrumented/disabled ratio for -overhead-check")
 	flag.Parse()
 
 	if *overheadCheck {
 		if err := runOverheadCheck(*overheadMax); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *jsonPath != "" {
-		if err := runJSON(*jsonPath, *baseline); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

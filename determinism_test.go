@@ -9,9 +9,9 @@ import (
 	"pi2/internal/workload"
 )
 
-// TestSameSeedByteIdenticalInterface: with shared cross-worker caches on
-// (the default) and multiple parallel workers, repeat runs under one seed
-// must produce byte-identical interfaces — rendered text and JSON spec.
+// TestSameSeedByteIdenticalInterface: with the shared cross-worker caches
+// and multiple parallel workers, repeat runs under one seed must produce
+// byte-identical interfaces — rendered text and JSON spec.
 // This is the determinism contract the search-side caches must not break.
 func TestSameSeedByteIdenticalInterface(t *testing.T) {
 	logs := []workload.Log{workload.Explore(), workload.Connect()}
@@ -49,27 +49,5 @@ func TestSameSeedByteIdenticalInterface(t *testing.T) {
 				t.Errorf("JSON spec differs between same-seed runs")
 			}
 		})
-	}
-}
-
-// TestSharedCacheAblationSameInterface: turning the shared caches off must
-// not change the generated interface, only how often work repeats.
-func TestSharedCacheAblationSameInterface(t *testing.T) {
-	wl := workload.Explore()
-	render := func(shared bool) string {
-		db := dataset.NewDB()
-		gen := NewGenerator(db, dataset.Keys())
-		gen.Config.Search.Workers = 3
-		gen.Config.Search.SyncInterval = 5
-		gen.Config.Search.MaxIterations = 120
-		gen.Config.Search.SharedCaches = shared
-		res, err := gen.Generate(wl.Queries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return iface.RenderText(res.Interface)
-	}
-	if on, off := render(true), render(false); on != off {
-		t.Errorf("shared-cache ablation changed the interface:\n--- shared ---\n%s\n--- private ---\n%s", on, off)
 	}
 }

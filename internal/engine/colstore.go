@@ -30,7 +30,7 @@ const batchSize = 1024
 // colData is one table column in columnar form.
 type colData struct {
 	nums  []float64 // numeric cells (zero elsewhere)
-	strs  []string  // string cells (empty elsewhere)
+	strs  []string  // string cells (empty elsewhere); nil if the column has none
 	null  []uint64  // bitmap: cell is NULL
 	isStr []uint64  // bitmap: cell is a non-null string
 
@@ -87,7 +87,6 @@ func buildTableCols(t *Table) *tableCols {
 	for ci := range tc.cols {
 		cd := &tc.cols[ci]
 		cd.nums = make([]float64, n)
-		cd.strs = make([]string, n)
 		cd.null = make([]uint64, words)
 		cd.isStr = make([]uint64, words)
 		cd.allInt = true
@@ -114,6 +113,11 @@ func buildTableCols(t *Table) *tableCols {
 					tc.ok = false
 				}
 				bitSet(cd.isStr, ri)
+				if cd.strs == nil {
+					// Allocated at the first string cell: all-numeric
+					// columns never pay 16 B/cell for it.
+					cd.strs = make([]string, n)
+				}
 				cd.strs[ri] = v.Str
 				cd.strCells++
 			default:

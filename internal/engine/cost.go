@@ -8,8 +8,7 @@ import (
 
 // The cost-based access-path chooser. compilePipe collects index *candidates*
 // from the pushed-down conjuncts; chooseAccess judges them against the
-// table's statistics and picks at most one per source; chooseBuildSide
-// decides whether a two-source hash join should build over the smaller side.
+// table's statistics and picks at most one per source.
 //
 // Two invariants keep this layer incapable of changing results:
 //
@@ -22,12 +21,10 @@ import (
 //     forced-index mode, because there the sweep and the index disagree.
 
 // Cost model knobs. The constants are deliberately coarse: the point is to
-// avoid indexing tables where a sweep is already cheap, and to only swap a
-// join's build side when the win is clear.
+// avoid indexing tables where a sweep is already cheap.
 const (
-	minIndexRows     = 64 // below this a sweep beats probe + order bookkeeping
-	indexAdvantage   = 4  // index must beat the sweep by this factor
-	reverseAdvantage = 4  // build-side swap must shrink the build this much
+	minIndexRows   = 64 // below this a sweep beats probe + order bookkeeping
+	indexAdvantage = 4  // index must beat the sweep by this factor
 )
 
 type accessMode uint8
@@ -47,7 +44,7 @@ type scanAccess struct {
 	lo, hi         Value  // accessRange bounds
 	hasLo, hasHi   bool
 	loExcl, hiExcl bool
-	estRows        int // statistics estimate, for EXPLAIN and build-side choice
+	estRows        int // statistics estimate, for EXPLAIN
 }
 
 // path renders the access path the way EXPLAIN and Profile report it.
@@ -264,52 +261,6 @@ func (c *compiler) chooseAccess(pq *planQuery, cands [][]scanAccess) {
 		a := list[best]
 		a.estRows = bestEst
 		pq.pipe.access[i] = a
-	}
-}
-
-// estSourceRows estimates how many rows of source i survive its scan: the
-// chosen access path's estimate if any, discounted by a default selectivity
-// per remaining pushed predicate. ok is false for derived tables.
-func (c *compiler) estSourceRows(pq *planQuery, i int) (int, bool) {
-	ps := pq.sources[i]
-	if ps.table == nil {
-		return 0, false
-	}
-	st := c.db.tableStats(ps.table)
-	est := float64(st.Rows)
-	extra := len(pq.pipe.scanPreds[i])
-	if a := pq.pipe.access[i]; a.mode != accessFull {
-		est = float64(a.estRows)
-		extra--
-	}
-	for ; extra > 0; extra-- {
-		est /= 3
-	}
-	return int(est), true
-}
-
-// chooseBuildSide decides whether a two-source hash equi-join should build
-// its table over source 0 instead of source 1 (runPipeReversed). The swap is
-// worthwhile when the normal build side is much larger than the probe side
-// and its hash table is not already a free ride on the column index.
-func (c *compiler) chooseBuildSide(pq *planQuery) {
-	if len(pq.sources) != 2 || len(pq.pipe.steps[1].build) == 0 {
-		return
-	}
-	if c.force {
-		pq.pipe.reverse = true
-		return
-	}
-	if pq.buildReusable(1) {
-		return // cached column index: the normal build is already amortized
-	}
-	r0, ok0 := c.estSourceRows(pq, 0)
-	r1, ok1 := c.estSourceRows(pq, 1)
-	if !ok0 || !ok1 || r1 < minIndexRows {
-		return
-	}
-	if r0*reverseAdvantage <= r1 {
-		pq.pipe.reverse = true
 	}
 }
 

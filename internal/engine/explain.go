@@ -84,17 +84,12 @@ func (pq *planQuery) explain(sb *strings.Builder, ind string) {
 	case pq.pipe != nil:
 		for i := 1; i < len(pq.sources); i++ {
 			st := &pq.pipe.steps[i]
-			var mode string
-			switch {
-			case len(st.build) > 0 && pq.pipe.reverse:
-				mode = "hash build=" + pq.sources[0].alias + " (reversed, order-restoring merge)"
-			case len(st.build) > 0:
+			mode := "nested-loop"
+			if len(st.build) > 0 {
 				mode = "hash build=" + pq.sources[i].alias
 				if pq.buildReusable(i) {
 					mode += " (reuses index(" + pq.sources[i].cols[st.buildCol] + "))"
 				}
-			default:
-				mode = "nested-loop"
 			}
 			if len(st.filters) > 0 {
 				mode += fmt.Sprintf(" +%d hoisted filter(s)", len(st.filters))
@@ -129,11 +124,7 @@ func (pq *planQuery) explain(sb *strings.Builder, ind string) {
 		fmt.Fprintf(sb, "%sdistinct%s\n", ind, mark)
 	}
 	if len(pq.order) > 0 {
-		line := fmt.Sprintf("%sorder by: %d key(s)", ind, len(pq.order))
-		if pq.opt && pq.limitErr == nil && pq.limit >= 0 {
-			line += fmt.Sprintf(" (top-k heap, limit %d)", pq.limit)
-		}
-		sb.WriteString(line + "\n")
+		fmt.Fprintf(sb, "%sorder by: %d key(s)\n", ind, len(pq.order))
 	}
 	if pq.limitErr == nil && pq.limit >= 0 {
 		fmt.Fprintf(sb, "%slimit: %d\n", ind, pq.limit)

@@ -14,9 +14,9 @@ import (
 // FuzzExecEquivalence cross-checks the five execution paths on randomly
 // generated queries: the interpreter (the executable specification), the
 // unoptimized plan (filtered cross product, full sort), the optimized plan
-// (operator pipeline: pushdown, hash joins, tagged keys, top-K), the
+// (operator pipeline: pushdown, hash joins, tagged keys), the
 // forced-index plan (every semantically legal index path taken, cost model
-// bypassed, including the reversed hash-join build side) and the forced-vec
+// bypassed) and the forced-vec
 // plan (columnar batch execution with the row-count gate bypassed, so the
 // tiny fuzz tables still route through it whenever the query shape is
 // vectorizable) must return identical tables — same columns, same types,

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math/bits"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -44,7 +43,6 @@ type pipePlan struct {
 	steps     []pipeStep   // per source level; steps[0] never joins
 	residual  []exprFn     // remaining conjuncts, original order
 	access    []scanAccess // per source: chosen access path (cost.go)
-	reverse   bool         // two-source hash join builds over source 0
 }
 
 // pipeStep describes how source level i combines with the already-joined
@@ -276,7 +274,6 @@ func (c *compiler) compilePipe(pq *planQuery, where *dt.Node) {
 		pipe.steps[hi].filters = append(pipe.steps[hi].filters, c.compile(e))
 	}
 	c.chooseAccess(pq, cands)
-	c.chooseBuildSide(pq)
 }
 
 // scanRows returns source i's rows filtered by its pushed-down predicates.
@@ -432,9 +429,7 @@ func (pq *planQuery) runPipe(tables []*Table, outer *rowEnv, prof *Profile) ([]*
 			prof.addPath("scan", pq.sources[i].alias, pq.pipe.access[i].path(), len(tables[i].Rows), len(rows), time.Since(t0))
 		}
 		filtered[i] = rows
-		// A reversed two-source join builds over source 0 instead; its
-		// normal build side is skipped entirely (runPipeReversed).
-		if len(pq.pipe.steps[i].build) > 0 && !pq.pipe.reverse {
+		if len(pq.pipe.steps[i].build) > 0 {
 			if prof != nil {
 				t0 = time.Now()
 			}
@@ -452,10 +447,6 @@ func (pq *planQuery) runPipe(tables []*Table, outer *rowEnv, prof *Profile) ([]*
 			hashes[i] = h
 		}
 	}
-	if pq.pipe.reverse {
-		return pq.runPipeReversed(filtered, cur, probe, outer, prof)
-	}
-
 	// joined counts tuples reaching the residual chain; residDur isolates
 	// residual evaluation from enumeration time (timed only when profiling).
 	joined := 0
@@ -561,117 +552,6 @@ func (pq *planQuery) runPipe(tables []*Table, outer *rowEnv, prof *Profile) ([]*
 	return out, nil
 }
 
-// runPipeReversed executes a two-source hash equi-join with the build side
-// swapped: the hash table is built over source 0's filtered rows (keyed by
-// the step's probe expressions, which read frame 0) and probed once per
-// source-1 row. The matching (row0, row1) index pairs are then merged back
-// into ascending (row0, row1) order — exactly the nested-loop enumeration
-// order — before hoisted filters and the residual chain run, so output order
-// and error short-circuit order are untouched by the swap.
-func (pq *planQuery) runPipeReversed(filtered [][][]Value, cur []frame, probe *rowEnv, outer *rowEnv, prof *Profile) ([]*rowEnv, error) {
-	st := &pq.pipe.steps[1]
-	var tb time.Time
-	if prof != nil {
-		tb = time.Now()
-	}
-	h, err := buildHashSide(filtered[0], st.probe, 0, cur, probe)
-	if err != nil {
-		return nil, err
-	}
-	if prof != nil {
-		prof.add("hash-build", pq.sources[0].alias, len(filtered[0]), len(h.buckets), time.Since(tb))
-	}
-
-	var tj time.Time
-	if prof != nil {
-		tj = time.Now()
-	}
-	type pair struct{ r0, r1 int }
-	var pairs []pair
-	var kb []byte
-	for r1, row := range filtered[1] {
-		cur[1].row = row
-		kb = kb[:0]
-		null := false
-		for _, bf := range st.build {
-			v, err := bf(probe)
-			if err != nil {
-				return nil, err
-			}
-			if v.Null {
-				null = true // NULL key matches nothing, same as the probe path
-				break
-			}
-			kb = appendJoinKey(kb, v)
-		}
-		if null {
-			continue
-		}
-		if bi, ok := h.idx[string(kb)]; ok {
-			for _, r0 := range h.buckets[bi] {
-				pairs = append(pairs, pair{r0, r1})
-			}
-		}
-	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].r0 != pairs[b].r0 {
-			return pairs[a].r0 < pairs[b].r0
-		}
-		return pairs[a].r1 < pairs[b].r1
-	})
-
-	joined := 0
-	var residDur time.Duration
-	profResid := prof != nil && len(pq.pipe.residual) > 0
-	var out []*rowEnv
-	for _, p := range pairs {
-		cur[0].row = filtered[0][p.r0]
-		cur[1].row = filtered[1][p.r1]
-		pass := true
-		for _, ff := range st.filters {
-			v, err := ff(probe)
-			if err != nil {
-				return nil, err
-			}
-			if !v.Truthy() {
-				pass = false
-				break
-			}
-		}
-		if !pass {
-			continue
-		}
-		joined++
-		if len(pq.pipe.residual) > 0 {
-			var t0 time.Time
-			if profResid {
-				t0 = time.Now()
-			}
-			rp, err := residualPass(pq.pipe.residual, probe)
-			if profResid {
-				residDur += time.Since(t0)
-			}
-			if err != nil {
-				return nil, err
-			}
-			if !rp {
-				continue
-			}
-		}
-		keep := make([]frame, 2)
-		copy(keep, cur)
-		out = append(out, &rowEnv{frames: keep, outer: outer})
-	}
-	if prof != nil {
-		in := len(filtered[0]) + len(filtered[1])
-		prof.addPath("join", "hash (reversed)", "build="+pq.sources[0].alias, in, joined, time.Since(tj)-residDur)
-		if len(pq.pipe.residual) > 0 {
-			prof.add("residual", "", joined, len(out), residDur)
-		}
-	}
-	return out, nil
-}
-
 // residualPass evaluates the residual chain with Kleene semantics: FALSE
 // drops the row immediately, NULL keeps evaluating (a later impure conjunct
 // must still surface its error) and drops the row at the end.
@@ -706,72 +586,27 @@ func (pq *planQuery) stepInto(st *pipeStep, probe *rowEnv, i int, rec func(int) 
 	return rec(i + 1)
 }
 
-// --- output sink: DISTINCT + ORDER BY + LIMIT ------------------------------
+// --- output sink: DISTINCT + ORDER BY ---------------------------------------
 
-// rowSink consumes projected rows and applies DISTINCT, ORDER BY and LIMIT
-// with the interpreter's semantics. Two modes:
-//
-//   - collect (the reference behavior): accumulate everything, dedupe, full
-//     stable sort, truncate;
-//   - top-K (optimized plans with ORDER BY + LIMIT): a bounded heap keeps
-//     only the limit rows, with the input sequence number as tiebreaker so
-//     the result equals stable-sort-then-truncate without materializing the
-//     full sort.
-//
-// Both modes still consume *every* projected row — projection and key
-// evaluation errors must surface in exactly the interpreter's order.
+// rowSink consumes projected rows and applies DISTINCT and ORDER BY with
+// the interpreter's semantics: accumulate everything, dedupe, full stable
+// sort. LIMIT truncates the finished rows afterwards (planQuery.run). Every
+// projected row is consumed — projection and key evaluation errors must
+// surface in exactly the interpreter's order.
 type rowSink struct {
 	distinct bool
 	desc     []bool
-
-	// collect mode
-	rows [][]Value
-	keys [][]Value
-
-	// top-K mode
-	top  *topKHeap
-	seen map[string]bool
-	dbuf []byte
-	seq  int
-}
-
-// initSink picks top-K mode when the plan is optimized and has both an
-// ORDER BY and a valid LIMIT; otherwise collect mode. The sink lives on
-// the caller's stack — per-execution heap allocation only happens when
-// top-K state is actually needed.
-func (pq *planQuery) initSink(s *rowSink) {
-	s.distinct = pq.distinct
-	s.desc = pq.orderDesc
-	if pq.opt && pq.limitErr == nil && pq.limit >= 0 && len(pq.order) > 0 {
-		s.top = &topKHeap{k: pq.limit, desc: pq.orderDesc}
-		if pq.distinct {
-			s.seen = map[string]bool{}
-		}
-	}
+	rows     [][]Value
+	keys     [][]Value
 }
 
 func (s *rowSink) add(row, keys []Value) {
-	if s.top == nil {
-		s.rows = append(s.rows, row)
-		s.keys = append(s.keys, keys)
-		return
-	}
-	if s.distinct {
-		s.dbuf = groupKey(s.dbuf, row)
-		if s.seen[string(s.dbuf)] {
-			return
-		}
-		s.seen[string(s.dbuf)] = true
-	}
-	s.top.offer(row, keys, s.seq)
-	s.seq++
+	s.rows = append(s.rows, row)
+	s.keys = append(s.keys, keys)
 }
 
 // finish produces the final row set.
 func (s *rowSink) finish() [][]Value {
-	if s.top != nil {
-		return s.top.sorted()
-	}
 	rows, keys := s.rows, s.keys
 	if s.distinct {
 		rows, keys = distinctRows(rows, keys)
@@ -780,113 +615,4 @@ func (s *rowSink) finish() [][]Value {
 		rows = sortRowsStable(rows, keys, s.desc)
 	}
 	return rows
-}
-
-// compareKeys orders two sort-key tuples under the per-key descending
-// flags: negative when a sorts before b.
-func compareKeys(a, b []Value, desc []bool) int {
-	for i := range a {
-		c := Compare(a[i], b[i])
-		if c == 0 {
-			continue
-		}
-		if desc[i] {
-			return -c
-		}
-		return c
-	}
-	return 0
-}
-
-// topKHeap is a bounded max-heap over (sort keys, input sequence): the root
-// is the entry that sorts last among those kept, so a new row replaces the
-// root whenever it sorts earlier. Keeping the sequence number as the final
-// tiebreaker makes the order total, which is exactly what a stable sort
-// followed by truncation produces.
-type topKHeap struct {
-	k    int
-	desc []bool
-	rows [][]Value
-	keys [][]Value
-	seq  []int
-}
-
-// after reports whether entry i sorts after entry j (i is "worse").
-func (h *topKHeap) after(i, j int) bool {
-	if c := compareKeys(h.keys[i], h.keys[j], h.desc); c != 0 {
-		return c > 0
-	}
-	return h.seq[i] > h.seq[j]
-}
-
-func (h *topKHeap) swap(i, j int) {
-	h.rows[i], h.rows[j] = h.rows[j], h.rows[i]
-	h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
-	h.seq[i], h.seq[j] = h.seq[j], h.seq[i]
-}
-
-func (h *topKHeap) offer(row, keys []Value, seq int) {
-	if h.k == 0 {
-		return
-	}
-	if len(h.rows) < h.k {
-		h.rows = append(h.rows, row)
-		h.keys = append(h.keys, keys)
-		h.seq = append(h.seq, seq)
-		// sift up: a child that sorts after its parent bubbles toward the root
-		for i := len(h.rows) - 1; i > 0; {
-			p := (i - 1) / 2
-			if !h.after(i, p) {
-				break
-			}
-			h.swap(i, p)
-			i = p
-		}
-		return
-	}
-	// Full: the candidate only enters if it sorts before the current worst.
-	h.rows = append(h.rows, row)
-	h.keys = append(h.keys, keys)
-	h.seq = append(h.seq, seq)
-	last := len(h.rows) - 1
-	if h.after(last, 0) {
-		h.rows = h.rows[:last]
-		h.keys = h.keys[:last]
-		h.seq = h.seq[:last]
-		return
-	}
-	h.swap(0, last)
-	h.rows = h.rows[:last]
-	h.keys = h.keys[:last]
-	h.seq = h.seq[:last]
-	// sift down from the root
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < len(h.rows) && h.after(l, big) {
-			big = l
-		}
-		if r < len(h.rows) && h.after(r, big) {
-			big = r
-		}
-		if big == i {
-			break
-		}
-		h.swap(i, big)
-		i = big
-	}
-}
-
-// sorted extracts the kept rows in output order.
-func (h *topKHeap) sorted() [][]Value {
-	idx := make([]int, len(h.rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return h.after(idx[b], idx[a]) })
-	out := make([][]Value, len(idx))
-	for i, j := range idx {
-		out[i] = h.rows[j]
-	}
-	return out
 }

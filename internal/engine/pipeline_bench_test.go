@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	dt "pi2/internal/difftree"
 	"pi2/internal/sqlparser"
 )
 
@@ -43,11 +42,6 @@ func benchPlan(b *testing.B, db *DB, sql string, optimized bool) {
 	if optimized {
 		prep = Prepare
 	}
-	benchPlanMode(b, db, sql, prep)
-}
-
-func benchPlanMode(b *testing.B, db *DB, sql string, prep func(*DB, *dt.Node) (*Plan, error)) {
-	b.Helper()
 	ast, err := sqlparser.Parse(sql)
 	if err != nil {
 		b.Fatal(err)
@@ -102,26 +96,16 @@ func BenchmarkEngineJoinCached(b *testing.B) {
 // rather than a pipeline/naive split.
 const benchGroupSQL = `SELECT grp, count(*), sum(v), avg(v) FROM fact GROUP BY grp`
 
-// BenchmarkEngineGroupBy contrasts the vectorized aggregation (columnar
-// accumulation over a u64 open-addressing group table) with the row
-// pipeline's type-tagged key encoder on the same 50-group query, plus a
-// high-cardinality run (2000 groups) where per-group overheads dominate.
-// The flat pre-PR9 "EngineGroupBy" number corresponds to the "row" case.
+// BenchmarkEngineGroupBy measures the vectorized aggregation (columnar
+// accumulation over a u64 open-addressing group table) on a 50-group
+// query, plus a high-cardinality run (2000 groups) where per-group
+// overheads dominate.
 func BenchmarkEngineGroupBy(b *testing.B) {
 	db := benchDB(20000, 10)
 	b.Run("vectorized", func(b *testing.B) { benchPlan(b, db, benchGroupSQL, true) })
-	b.Run("row", func(b *testing.B) { benchPlanMode(b, db, benchGroupSQL, PrepareNoVec) })
 	hdb := benchDB(20000, 2000)
 	const hiSQL = `SELECT k, count(*), sum(v) FROM fact GROUP BY k`
 	b.Run("high-cardinality-group", func(b *testing.B) { benchPlan(b, hdb, hiSQL, true) })
-}
-
-const benchTopKSQL = `SELECT k, v FROM fact WHERE v > 10 ORDER BY v DESC LIMIT 10`
-
-func BenchmarkEngineTopK(b *testing.B) {
-	db := benchDB(20000, 10)
-	b.Run("heap", func(b *testing.B) { benchPlan(b, db, benchTopKSQL, true) })
-	b.Run("fullsort", func(b *testing.B) { benchPlan(b, db, benchTopKSQL, false) })
 }
 
 const benchDistinctSQL = `SELECT DISTINCT grp FROM fact`
@@ -133,7 +117,7 @@ func BenchmarkEngineDistinct(b *testing.B) {
 
 // benchScanDB builds the access-path fixture: `scan` is large enough for
 // the cost model to prefer indexes (20k rows, k cycling 0..199 so a point
-// lookup selects 0.5%), plus a two-row `tiny` table for build-side reversal.
+// lookup selects 0.5%).
 func benchScanDB() *DB {
 	r := rand.New(rand.NewSource(7))
 	db := NewDB("2020-12-31")
@@ -145,13 +129,6 @@ func benchScanDB() *DB {
 		})
 	}
 	db.Add(scan)
-	db.Add(&Table{
-		Name: "tiny", Cols: []string{"k", "lbl"}, Types: []ColType{TNum, TStr},
-		Rows: [][]Value{
-			{NumVal(3), StrVal("three")},
-			{NumVal(7), StrVal("seven")},
-		},
-	})
 	return db
 }
 
@@ -172,13 +149,4 @@ func BenchmarkEngineScan(b *testing.B) {
 	// runs as a batched columnar filter.
 	const sweepSQL = `SELECT v FROM scan WHERE v > 25`
 	b.Run("vectorized-filter", func(b *testing.B) { benchPlan(b, db, sweepSQL, true) })
-}
-
-// BenchmarkEngineJoinBuildSide measures the reversed hash join: the scan
-// predicate on the big side defeats index reuse, and the two-row tiny side
-// wins the build by estimated cardinality, leaving an order-restoring merge
-// on the probe output.
-func BenchmarkEngineJoinBuildSide(b *testing.B) {
-	db := benchScanDB()
-	benchPlan(b, db, `SELECT t.lbl, s.v FROM tiny AS t, scan AS s WHERE t.k = s.k AND s.v > 25`, true)
 }

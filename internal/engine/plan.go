@@ -62,8 +62,9 @@ var ErrStalePlan = errors.New("engine: plan is stale (database mutated since Pre
 
 // Prepare compiles a concrete query AST (no choice nodes) into a Plan. The
 // plan executes through the relational operator pipeline: pushed-down scan
-// predicates, hash equi-joins, type-tagged grouping keys and a bounded
-// top-K heap for ORDER BY + LIMIT (see pipeline.go and ARCHITECTURE.md).
+// predicates, index access paths, hash equi-joins, type-tagged grouping keys
+// and, for eligible queries, columnar batches (see pipeline.go, vec.go and
+// ARCHITECTURE.md).
 func Prepare(db *DB, q *dt.Node) (*Plan, error) {
 	return prepare(db, q, modePipeline)
 }
@@ -92,14 +93,6 @@ func prepareForceVec(db *DB, q *dt.Node) (*Plan, error) {
 	return prepare(db, q, modeForceVec)
 }
 
-// PrepareNoVec compiles like Prepare with the vectorized path disabled
-// entirely: the full cost-based row pipeline, nothing columnar. Benchmarks
-// (and pi2bench -json) use it as the row-at-a-time comparison point for
-// queries the chooser would otherwise vectorize.
-func PrepareNoVec(db *DB, q *dt.Node) (*Plan, error) {
-	return prepare(db, q, modeNoVec)
-}
-
 // prepMode selects how aggressively prepare optimizes.
 type prepMode uint8
 
@@ -108,7 +101,6 @@ const (
 	modeNoPipe                     // reference behavior (PrepareUnoptimized)
 	modeForceIndex                 // pipeline with cost thresholds bypassed
 	modeForceVec                   // pipeline with the vectorized size gate bypassed
-	modeNoVec                      // pipeline with the vectorized path disabled
 )
 
 func prepare(db *DB, q *dt.Node, mode prepMode) (*Plan, error) {
@@ -121,7 +113,7 @@ func prepare(db *DB, q *dt.Node, mode prepMode) (*Plan, error) {
 	setSnap := db.TableSetGeneration()
 	deps := &depTracker{}
 	c := &compiler{db: db, deps: deps, noPipe: mode == modeNoPipe, force: mode == modeForceIndex,
-		vecForce: mode == modeForceVec, noVec: mode == modeNoVec}
+		vecForce: mode == modeForceVec}
 	root := c.compileQuery(q, nil)
 	return &Plan{db: db, root: root, deps: deps.deps, setSnap: setSnap, setDep: deps.missing}, nil
 }
@@ -221,8 +213,8 @@ type planQuery struct {
 	distinct bool
 
 	// opt gates the optimizations that change *how* (never *what*) the
-	// query computes: the operator pipeline and the top-K sink. Cleared by
-	// PrepareUnoptimized.
+	// query computes: the operator pipeline and the vectorized path.
+	// Cleared by PrepareUnoptimized.
 	opt   bool
 	pipe  *pipePlan   // nil: no WHERE clause, no sources, or opt disabled
 	scans []scanState // per-source scan/build caches (pipeline only)
@@ -250,7 +242,6 @@ type compiler struct {
 	noPipe   bool        // disable the operator pipeline (PrepareUnoptimized)
 	force    bool        // bypass the chooser's cost thresholds (prepareForceIndex)
 	vecForce bool        // bypass the vectorized size gate (prepareForceVec)
-	noVec    bool        // disable the vectorized path (PrepareNoVec)
 }
 
 func (c *compiler) compileQuery(q *dt.Node, outer *scope) *planQuery {
@@ -320,7 +311,7 @@ func (c *compiler) compileQuery(q *dt.Node, outer *scope) *planQuery {
 
 	// Expressions compile in this query's scope.
 	sc := &scope{sources: pq.sources, outer: outer}
-	inner := &compiler{db: c.db, sc: sc, deps: c.deps, noPipe: c.noPipe, force: c.force, vecForce: c.vecForce, noVec: c.noVec}
+	inner := &compiler{db: c.db, sc: sc, deps: c.deps, noPipe: c.noPipe, force: c.force, vecForce: c.vecForce}
 
 	pq.opt = !c.noPipe
 	if where.Kind == dt.KindWhere {
@@ -438,14 +429,12 @@ func (pq *planQuery) run(outer *rowEnv, prof *Profile) (*Table, error) {
 	}
 
 	// 2./3. Enumerate surviving rows and project them into the sink, which
-	// applies DISTINCT + ORDER BY + LIMIT — via a bounded top-K heap when
-	// the plan is optimized and both ORDER BY and LIMIT are present.
+	// applies DISTINCT + ORDER BY.
 	//
 	// The vectorized path (vecexec.go) fuses both steps over columnar
 	// batches and feeds the identical sink; everything below it (finish,
 	// limit, schema) is shared, so both paths produce bit-identical tables.
-	var sink rowSink
-	pq.initSink(&sink)
+	sink := rowSink{distinct: pq.distinct, desc: pq.orderDesc}
 	offered := 0
 	if pq.vec != nil {
 		n, err := pq.runVec(outer, prof, &sink)
@@ -466,8 +455,6 @@ func (pq *planQuery) run(outer *rowEnv, prof *Profile) (*Table, error) {
 	if prof != nil {
 		d := time.Since(tFin)
 		switch {
-		case sink.top != nil:
-			prof.add("top-k", fmt.Sprintf("limit %d", pq.limit), offered, len(outRows), d)
 		case sink.distinct && len(sink.desc) > 0:
 			prof.add("distinct+sort", "", offered, len(outRows), d)
 		case sink.distinct:

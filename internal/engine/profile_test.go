@@ -110,7 +110,7 @@ func TestProfileJoinKeyword(t *testing.T) {
 	}
 }
 
-func TestProfileTopKAndGroup(t *testing.T) {
+func TestProfileSortLimitAndGroup(t *testing.T) {
 	prof := profiled(t, testDB(),
 		"SELECT dept, sum(salary) FROM emp GROUP BY dept ORDER BY sum(salary) DESC LIMIT 1")
 	ops := opsByName(prof)
@@ -121,12 +121,19 @@ func TestProfileTopKAndGroup(t *testing.T) {
 	if g.RowsIn != 4 || g.RowsOut != 2 {
 		t.Fatalf("group %d->%d, want 4->2", g.RowsIn, g.RowsOut)
 	}
-	tk, ok := ops["top-k"]
+	srt, ok := ops["sort"]
 	if !ok {
-		t.Fatalf("no top-k op in %+v", prof.Ops)
+		t.Fatalf("no sort op in %+v", prof.Ops)
 	}
-	if tk.RowsIn != 2 || tk.RowsOut != 1 || tk.Detail != "limit 1" {
-		t.Fatalf("top-k = %+v, want 2->1 limit 1", tk)
+	if srt.RowsIn != 2 || srt.RowsOut != 2 {
+		t.Fatalf("sort %d->%d, want 2->2", srt.RowsIn, srt.RowsOut)
+	}
+	lim, ok := ops["limit"]
+	if !ok {
+		t.Fatalf("no limit op in %+v", prof.Ops)
+	}
+	if lim.RowsIn != 2 || lim.RowsOut != 1 || lim.Detail != "1" {
+		t.Fatalf("limit = %+v, want 2->1 detail 1", lim)
 	}
 }
 

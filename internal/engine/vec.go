@@ -239,7 +239,7 @@ const minVecRows = 64
 // access paths) and after grouped/hasStar/distinct are known. c must be the
 // inner (scoped) compiler.
 func (c *compiler) compileVec(pq *planQuery, sel, where, groupby, having, orderby *dt.Node) {
-	if c.noVec || pq.err != nil || !pq.opt || pq.hasJoin || pq.hasStar {
+	if pq.err != nil || !pq.opt || pq.hasJoin || pq.hasStar {
 		return
 	}
 	n := len(pq.sources)

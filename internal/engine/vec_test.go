@@ -309,4 +309,42 @@ func TestVecProfileAndExplain(t *testing.T) {
 	}
 }
 
+// TestVecSelectionExactLength: the cached selection vector of a plan keeps
+// only the surviving row ids, not the working buffer's rows/2 headroom.
+func TestVecSelectionExactLength(t *testing.T) {
+	db := bigDB()
+	// Too unselective for the index chooser, so the vectorized scan runs.
+	plan := vecPlanFor(t, db, "SELECT v FROM big WHERE v > 120", true)
+	res, err := plan.Exec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := plan.root.vecst.sel[0]
+	if len(sel) != len(res.Rows) || len(sel) != 80 {
+		t.Fatalf("selection has %d rows, result %d, want 80", len(sel), len(res.Rows))
+	}
+	if cap(sel) != len(sel) {
+		t.Fatalf("cached selection cap = %d, want its length %d", cap(sel), len(sel))
+	}
+}
+
+// TestColumnarStringsOnlyWhenPresent: a column without string cells gets
+// no per-cell string slice; a column with one gets it at full length.
+func TestColumnarStringsOnlyWhenPresent(t *testing.T) {
+	tc := buildTableCols(vecDB().Tables["v"])
+	want := map[string]bool{"x": false, "y": false, "s": true, "m": true}
+	for ci, name := range []string{"x", "y", "s", "m"} {
+		cd := &tc.cols[ci]
+		if got := cd.strs != nil; got != want[name] {
+			t.Fatalf("column %s: strs allocated = %v, want %v", name, got, want[name])
+		}
+		if cd.strs != nil && len(cd.strs) != tc.rows {
+			t.Fatalf("column %s: len(strs) = %d, want %d", name, len(cd.strs), tc.rows)
+		}
+		for ri := 0; ri < tc.rows; ri++ {
+			_ = cd.value(ri) // must never touch a nil strs
+		}
+	}
+}
+
 var _ = dt.Node{} // keep the import pinned for planFor's signature

@@ -7,8 +7,8 @@ import (
 
 // The vectorized execution path: runtime half. runVec executes a compiled
 // vecPlan over columnar storage (colstore.go) and feeds the same rowSink the
-// row pipeline feeds, so DISTINCT/ORDER BY/LIMIT and the top-K heap are
-// shared verbatim. Operators walk selection vectors in batchSize chunks:
+// row pipeline feeds, so DISTINCT/ORDER BY/LIMIT are shared verbatim.
+// Operators walk selection vectors in batchSize chunks:
 //
 //   scan    — per-source selection vectors, predicates applied
 //             column-at-a-time with NULL-bitmap-aware three-valued logic;
@@ -96,7 +96,9 @@ func (pq *planQuery) runVec(outer *rowEnv, prof *Profile, sink *rowSink) (int, e
 
 // vecScanSelect computes the selection vector of rows surviving every pushed
 // predicate, processing the table in batchSize chunks: the first pass fills
-// an identity batch, each predicate then compacts it in place.
+// an identity batch, each predicate then compacts it in place. The result is
+// cached for the plan's lifetime (vecState), so it is returned at its exact
+// length rather than with the working buffer's headroom.
 func vecScanSelect(db *DB, tc *tableCols, preds []vecPred) []int32 {
 	out := make([]int32, 0, tc.rows/2+1)
 	var buf [batchSize]int32
@@ -119,7 +121,9 @@ func vecScanSelect(db *DB, tc *tableCols, preds []vecPred) []int32 {
 		out = append(out, sel...)
 		db.noteBatch(m)
 	}
-	return out
+	exact := make([]int32, len(out))
+	copy(exact, out)
+	return exact
 }
 
 // filterSel keeps the rows of sel that satisfy the predicate, compacting in
@@ -521,7 +525,6 @@ func (pq *planQuery) vecEmit(prof *Profile, sink *rowSink, r0s, r1s []int32, npa
 		// The sink's dedup would be redundant: first occurrences (and their
 		// first-row keys) are already kept, exactly like distinctRows.
 		sink.distinct = false
-		sink.seen = nil
 		if prof != nil {
 			prof.addVec("distinct", "", "vectorized", before, npairs, 0, time.Since(tp))
 			tp = time.Now()
@@ -556,32 +559,21 @@ func (pq *planQuery) vecEmit(prof *Profile, sink *rowSink, r0s, r1s []int32, npa
 			gather(keyData, nk, j, c)
 		}
 	}
-	if sink.top == nil && !sink.distinct {
-		// Collect mode: materialize the row headers in one exact-size
-		// allocation instead of per-row add calls with append growth. When
-		// there is no ORDER BY the keys are never consumed (finish sorts
-		// only when desc is non-empty), so they are skipped entirely.
-		rows := make([][]Value, npairs)
-		for p := range rows {
-			rows[p] = data[p*k : (p+1)*k : (p+1)*k]
+	// Materialize the row headers in one exact-size allocation instead of
+	// per-row add calls with append growth. When there is no ORDER BY the
+	// keys are never consumed (finish sorts only when desc is non-empty),
+	// so they are skipped entirely.
+	rows := make([][]Value, npairs)
+	for p := range rows {
+		rows[p] = data[p*k : (p+1)*k : (p+1)*k]
+	}
+	sink.rows = append(sink.rows, rows...)
+	if nk > 0 {
+		krows := make([][]Value, npairs)
+		for p := range krows {
+			krows[p] = keyData[p*nk : (p+1)*nk : (p+1)*nk]
 		}
-		sink.rows = append(sink.rows, rows...)
-		if nk > 0 {
-			krows := make([][]Value, npairs)
-			for p := range krows {
-				krows[p] = keyData[p*nk : (p+1)*nk : (p+1)*nk]
-			}
-			sink.keys = append(sink.keys, krows...)
-		}
-	} else {
-		for p := 0; p < npairs; p++ {
-			row := data[p*k : (p+1)*k : (p+1)*k]
-			var keys []Value
-			if nk > 0 {
-				keys = keyData[p*nk : (p+1)*nk : (p+1)*nk]
-			}
-			sink.add(row, keys)
-		}
+		sink.keys = append(sink.keys, krows...)
 	}
 	pq.db.noteBatches(npairs)
 	if prof != nil {
@@ -591,7 +583,7 @@ func (pq *planQuery) vecEmit(prof *Profile, sink *rowSink, r0s, r1s []int32, npa
 }
 
 // vecDedup keeps the first pair for each distinct projected row, in order —
-// the same first-occurrence rule distinctRows and the top-K seen map apply.
+// the same first-occurrence rule distinctRows applies.
 // Fresh slices are returned because r0s may alias the cached selection.
 func (pq *planQuery) vecDedup(r0s, r1s []int32, npairs int) ([]int32, []int32, int) {
 	vp := pq.vec

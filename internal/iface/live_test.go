@@ -145,7 +145,7 @@ func TestExplainAnalyzeStale(t *testing.T) {
 func newLiveServer(t *testing.T) (*httptest.Server, *Session, *engine.DB) {
 	t.Helper()
 	sess, db := liveSession(t, nil)
-	srv := httptest.NewServer(NewServer(sess).WithIngest(db).Handler())
+	srv := httptest.NewServer(withSessionKey(oneSessionServer(t, sess).WithIngest(db).Handler()))
 	t.Cleanup(srv.Close)
 	return srv, sess, db
 }

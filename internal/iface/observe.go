@@ -226,14 +226,6 @@ func RegisterServingMetrics(m *obs.Registry, reg *Registry) {
 	registerCacheMetrics(m, func() CacheStats { return reg.Stats().Cache })
 }
 
-// RegisterSessionMetrics is RegisterServingMetrics for single-session mode.
-func RegisterSessionMetrics(m *obs.Registry, s *Session) {
-	if m == nil || s == nil {
-		return
-	}
-	registerCacheMetrics(m, s.Stats)
-}
-
 func registerCacheMetrics(m *obs.Registry, stats func() CacheStats) {
 	hit := func(layer string, f func(CacheStats) uint64) {
 		m.CounterFunc("pi2_cache_hits_total", "Interaction-cache hits, by layer.", func() float64 {

@@ -156,8 +156,12 @@ func TestStatsJSONByteCompatible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain := doReq(NewServer(sess).Handler(), "GET", "/stats", nil).Body.String()
-		instr := doReq(NewServer(sess).WithObs(NewServerObs(obs.NewRegistry(), nil)).Handler(),
+		// One live session with cache traffic and no shared plan cache.
+		if _, err := sess.Results(); err != nil {
+			t.Fatal(err)
+		}
+		plain := doReq(oneSessionServer(t, sess).Handler(), "GET", "/stats", nil).Body.String()
+		instr := doReq(oneSessionServer(t, sess).WithObs(NewServerObs(obs.NewRegistry(), nil)).Handler(),
 			"GET", "/stats", nil).Body.String()
 		prefix := strings.TrimSuffix(strings.TrimSpace(plain), "}")
 		if !strings.HasPrefix(instr, prefix) {

@@ -18,9 +18,35 @@ func newTestServer(t *testing.T) (*httptest.Server, *Session) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServer(sess).Handler())
+	srv := httptest.NewServer(withSessionKey(oneSessionServer(t, sess).Handler()))
 	t.Cleanup(srv.Close)
 	return srv, sess
+}
+
+// testSessionKey is the session key single-user test servers route to.
+const testSessionKey = "t"
+
+// oneSessionServer serves sess as the only session of a registry server,
+// live under testSessionKey from the start (so read-only routes find it).
+func oneSessionServer(t *testing.T, sess *Session) *Server {
+	t.Helper()
+	reg := NewRegistry(func() (*Session, error) { return sess, nil }, RegistryOptions{})
+	if _, err := reg.Acquire(testSessionKey); err != nil {
+		t.Fatal(err)
+	}
+	return NewRegistryServer(reg)
+}
+
+// withSessionKey addresses every request that names no session to
+// testSessionKey, so plain GETs and form posts reach the one session.
+func withSessionKey(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if q := r.URL.Query(); q.Get("session") == "" {
+			q.Set("session", testSessionKey)
+			r.URL.RawQuery = q.Encode()
+		}
+		h.ServeHTTP(w, r)
+	})
 }
 
 func get(t *testing.T, url string) (int, string) {
